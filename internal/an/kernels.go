@@ -32,6 +32,7 @@ func EncodeSlice[S, D Unsigned](c *Code, src []S, dst []D) {
 func DecodeSlice[S, D Unsigned](c *Code, src []S, dst []D) {
 	inv := S(c.aInv)
 	mask := S(c.codeMask)
+	dst = dst[:len(src)]
 	for i, v := range src {
 		dst[i] = D(v * inv & mask)
 	}
@@ -60,6 +61,7 @@ func CheckDecodeSlice[S, D Unsigned](c *Code, src []S, dst []D, errs []uint64) [
 	inv := S(c.aInv)
 	mask := S(c.codeMask)
 	max := S(c.dMaxU)
+	dst = dst[:len(src)]
 	for i, v := range src {
 		d := v * inv & mask
 		if d > max {

@@ -270,4 +270,29 @@ func TestAccessCountersTrackQueries(t *testing.T) {
 	if after := db.AccessCounts(); len(after) != 0 {
 		t.Fatalf("counters survived reset: %v", after)
 	}
+
+	// The counters are per-column atomics: concurrent runs add up
+	// exactly, and a RehardenColumn swap keeps the column's counter.
+	const runs = 4
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := Run(db, Continuous, ops.Scalar, sumPlan); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := db.RehardenColumn("t", "w", an.MustNew(1939, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Run(db, Continuous, ops.Scalar, sumPlan); err != nil {
+		t.Fatal(err)
+	}
+	got := db.AccessCounts()
+	if got["t.v"] != (runs+1)*counts["t.v"] || got["t.w"] != (runs+1)*counts["t.w"] {
+		t.Fatalf("after %d concurrent runs and a swap: %v, want %d× %v", runs, got, runs+1, counts)
+	}
 }

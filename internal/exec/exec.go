@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ahead/internal/an"
 	"ahead/internal/ops"
@@ -145,9 +146,13 @@ type DB struct {
 
 	// Per-column access-frequency counters (access.go): the hotness
 	// signal the adaptive-hardening controller weighs re-harden order
-	// and residue demotion by.
-	accessMu sync.Mutex
-	access   map[string]uint64
+	// and residue demotion by. Both maps are built at NewDB and never
+	// written afterwards; the counters themselves are atomics.
+	access       map[string]map[string]*atomic.Uint64 // table -> column
+	accessByName map[string]*atomic.Uint64            // unambiguous bare names
+	// noteByName is db.noteAccessByName bound once, so Query.Opts hands
+	// out the same hook without allocating a method value per call.
+	noteByName func(column string, rows int)
 }
 
 // NewDB builds the per-mode physical storage from plain base tables,
@@ -161,7 +166,6 @@ func NewDB(tables []*storage.Table, choose storage.CodeChooser) (*DB, error) {
 		hardened:    make(map[string]*storage.Table),
 		colTable:    make(map[string]string),
 		quarantined: make(map[string]bool),
-		access:      make(map[string]uint64),
 	}
 	for _, t := range tables {
 		if _, dup := db.plain[t.Name()]; dup {
@@ -191,6 +195,7 @@ func NewDB(tables []*storage.Table, choose storage.CodeChooser) (*DB, error) {
 		}
 		db.hardened[t.Name()] = h
 	}
+	db.initAccessCounters()
 	return db, nil
 }
 
@@ -683,10 +688,10 @@ func (q *Query) Opts() *ops.Opts {
 	}
 	if q.replicaIdx == 0 {
 		// Operator row-touch counts feed the adaptive controller's
-		// hotness signal (access.go). Only base columns resolve through
-		// TableOf; intermediate vectors fall through silently. Replicas
+		// hotness signal (access.go). Only base columns have counters;
+		// intermediate vectors fall through silently. Replicas
 		// stay silent so DMR/TMR don't double-count traffic.
-		o.Access = q.db.noteAccessByName
+		o.Access = q.db.noteByName
 	}
 	// Assign through a typed check so a nil *Pool never becomes a
 	// non-nil Parallel interface value.
@@ -740,19 +745,14 @@ func (q *Query) col(table, column string) (*storage.Column, error) {
 			return nil, err
 		}
 		plain := hc
-		if hc.Code() != nil {
-			if plain, err = ops.Delta(hc, q.log); err != nil {
+		if hc.Code() != nil || hc.IsResidueHardened() {
+			// Δ runs on the query's pool, context and log. Residue
+			// columns are already plain; their Δ degrades to a sidecar
+			// verification. Col counts the rows, so Δ reports no access.
+			o := q.Opts()
+			o.Access = nil
+			if plain, err = ops.DeltaOpts(hc, o); err != nil {
 				return nil, err
-			}
-		} else if hc.IsResidueHardened() {
-			// Residue columns are already plain; the Early Δ degrades to
-			// a sidecar verification on first touch.
-			bad, err := hc.ResidueCheckAll()
-			if err != nil {
-				return nil, err
-			}
-			for _, pos := range bad {
-				q.log.Record(column, pos)
 			}
 		}
 		if q.deltaCache == nil {

@@ -197,9 +197,13 @@ func (e *UnrecoverableError) Unwrap() error { return e.Fallback }
 //	 │ detections
 //	 ▼
 //	repair base columns from the plain replica, retry (≤ MaxRetries)
-//	 │ corruption persists (stuck-at) or column already quarantined
+//	 │ budget spent or column already quarantined
 //	 ▼
-//	quarantine columns ──WithDegradedFallback──▶ DMR over plain replicas
+//	repair fresh positions; quarantine columns whose repaired words
+//	were detected again (stuck-at) or that were already quarantined
+//	 │
+//	 ▼
+//	escalate ──WithDegradedFallback──▶ DMR over plain replicas
 //	 │ otherwise                                   │ voter disagrees
 //	 ▼                                             ▼
 //	*UnrecoverableError                        *UnrecoverableError
@@ -257,8 +261,12 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 			}
 		}
 		if exhausted {
+			stuck, err := db.repairFresh(log, base, repairedSets)
 			finalizeRepaired(rep, repairedSets)
-			return escalate(db, m, flavor, plan, &cfg, rep, base, vec)
+			if err != nil {
+				return nil, rep, err
+			}
+			return escalate(db, m, flavor, plan, &cfg, rep, stuck, append(base, vec...))
 		}
 
 		// Repair phase: base columns from the plain replica;
@@ -270,26 +278,12 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 				return nil, rep, fmt.Errorf("exec: cannot attribute error-log column %q to a table for repair", c)
 			}
 			positions, err := log.Positions(c)
-			if err != nil {
-				return nil, rep, err
+			if err == nil {
+				err = db.repairRound(table, c, positions, repairedSets)
 			}
-			repaired, skipped, err := db.repairPositions(table, c, positions)
 			if err != nil {
-				return nil, rep, err
-			}
-			if len(skipped) > 0 {
-				// Out-of-range positions cannot be repaired; treat as
-				// unrecoverable attribution damage rather than looping.
 				finalizeRepaired(rep, repairedSets)
-				return nil, rep, fmt.Errorf("exec: %d repair positions beyond column %q (first %d)", len(skipped), c, skipped[0])
-			}
-			set := repairedSets[c]
-			if set == nil {
-				set = make(map[uint64]bool, len(repaired))
-				repairedSets[c] = set
-			}
-			for _, p := range repaired {
-				set[p] = true
+				return nil, rep, err
 			}
 		}
 		if cfg.reassert != nil {
@@ -298,17 +292,75 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 	}
 }
 
-// escalate quarantines the still-corrupt columns and either degrades to
-// DMR over the plain replicas or returns the structured failure.
-func escalate(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, cfg *recoveryCfg, rep *RecoveryReport, base, vec []string) (*ops.Result, *RecoveryReport, error) {
+// repairRound repairs one column's detected positions and adds them to
+// the column's set of repaired positions. Out-of-range positions cannot
+// be repaired; they are unrecoverable attribution damage, not a reason
+// to loop again.
+func (db *DB) repairRound(table, column string, positions []uint64, sets map[string]map[uint64]bool) error {
+	repaired, skipped, err := db.repairPositions(table, column, positions)
+	if err != nil {
+		return err
+	}
+	if len(skipped) > 0 {
+		return fmt.Errorf("exec: %d repair positions beyond column %q (first %d)", len(skipped), column, skipped[0])
+	}
+	set := sets[column]
+	if set == nil {
+		set = make(map[uint64]bool, len(repaired))
+		sets[column] = set
+	}
+	for _, p := range repaired {
+		set[p] = true
+	}
+	return nil
+}
+
+// repairFresh sorts the detected base columns of a run that exhausted
+// its budget. Only stuck evidence quarantines a column: a position that
+// an earlier round already repaired shows up again. A column already
+// quarantined, or one that cannot be attributed to a table, counts as
+// stuck too. Every other column's detections are fresh flips that
+// arrived between retries; they are repaired here and the column stays
+// in service. It returns the columns to quarantine.
+func (db *DB) repairFresh(log *ops.ErrorLog, base []string, sets map[string]map[uint64]bool) ([]string, error) {
+	var stuck []string
 	for _, c := range base {
+		positions, err := log.Positions(c)
+		if err != nil {
+			return nil, err
+		}
+		table, ok := db.TableOf(c)
+		if !ok || db.IsQuarantined(c) || anyIn(positions, sets[c]) {
+			stuck = append(stuck, c)
+			continue
+		}
+		if err := db.repairRound(table, c, positions, sets); err != nil {
+			return nil, err
+		}
+	}
+	return stuck, nil
+}
+
+func anyIn(positions []uint64, set map[uint64]bool) bool {
+	for _, p := range positions {
+		if set[p] {
+			return true
+		}
+	}
+	return false
+}
+
+// escalate quarantines the stuck columns and either degrades to DMR over
+// the plain replicas or returns the structured failure naming every
+// column with detections (bad).
+func escalate(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, cfg *recoveryCfg, rep *RecoveryReport, stuck, bad []string) (*ops.Result, *RecoveryReport, error) {
+	for _, c := range stuck {
 		if !db.IsQuarantined(c) {
 			db.QuarantineColumn(c)
 		}
 		rep.Quarantined = append(rep.Quarantined, c)
 	}
 	sort.Strings(rep.Quarantined)
-	bad := append(append([]string(nil), base...), vec...)
 	if !cfg.fallback {
 		return nil, rep, &UnrecoverableError{Columns: bad, Attempts: rep.Attempts}
 	}

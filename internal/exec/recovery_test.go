@@ -188,6 +188,63 @@ func TestRecoveryStuckAtDegradedFallbackDirect(t *testing.T) {
 	}
 }
 
+// TestRecoveryFreshFlipsAreNotQuarantined: a new transient flip lands at
+// a new position before every retry, so the budget runs out although no
+// word is stuck. Only a position seen again after its repair is stuck
+// evidence; here every detection is fresh, so the last round's flip is
+// repaired too, the column stays in service, and the report lists all
+// three positions as repaired.
+func TestRecoveryFreshFlipsAreNotQuarantined(t *testing.T) {
+	for _, fallback := range []bool{false, true} {
+		db := recoveryDB(t)
+		ref := unprotectedRef(t, db)
+		w := db.Hardened("t").MustColumn("w")
+		inj := faults.NewInjector(9)
+		fresh := []int{12, 15, 61} // inside the sumPlan filter range
+		if _, err := inj.FlipAt(w, fresh[0], 2); err != nil {
+			t.Fatal(err)
+		}
+		next := 1
+		reassert := func() {
+			if next < len(fresh) {
+				if _, err := inj.FlipAt(w, fresh[next], 2); err != nil {
+					t.Error(err)
+				}
+				next++
+			}
+		}
+
+		res, rep, err := RunWithRecovery(db, Continuous, ops.Scalar, sumPlan,
+			WithReassert(reassert), WithDegradedFallback(fallback))
+		if rep.Attempts != 1+DefaultMaxRetries {
+			t.Fatalf("fallback=%v: attempts %d, want %d", fallback, rep.Attempts, 1+DefaultMaxRetries)
+		}
+		if fallback {
+			if err != nil || !rep.Degraded || !res.Equal(ref) {
+				t.Fatalf("fallback run: %v, %v", rep, err)
+			}
+		} else {
+			var unrec *UnrecoverableError
+			if !errors.As(err, &unrec) {
+				t.Fatalf("want *UnrecoverableError, got %v", err)
+			}
+		}
+		if len(rep.Quarantined) != 0 || db.IsQuarantined("w") {
+			t.Fatalf("fallback=%v: fresh flips quarantined the column: %v", fallback, rep)
+		}
+		if got := rep.Repaired["w"]; !reflect.DeepEqual(got, []uint64{12, 15, 61}) {
+			t.Fatalf("fallback=%v: repaired %v, want [12 15 61]", fallback, got)
+		}
+		if bad, err := w.CheckAll(); err != nil || len(bad) != 0 {
+			t.Fatalf("fallback=%v: column not clean after escalation: %v, %v", fallback, bad, err)
+		}
+		resC, repC, errC := RunWithRecovery(db, Continuous, ops.Scalar, sumPlan)
+		if errC != nil || repC.Attempts != 1 || !resC.Equal(ref) {
+			t.Fatalf("fallback=%v: next run not clean: %v %v", fallback, repC, errC)
+		}
+	}
+}
+
 // TestRecoveryParallelMatchesSerial injects identical transient faults
 // into two DBs and supervises one serially, one on a small-morsel pool:
 // results and RecoveryReports must be identical (the PR 1 equivalence

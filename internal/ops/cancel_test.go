@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -152,5 +153,37 @@ func TestCompletedRunIgnoresLiveContext(t *testing.T) {
 	}
 	if gotLog.Count() != wantLog.Count() {
 		t.Fatalf("context-bound run logged %d errors, want %d", gotLog.Count(), wantLog.Count())
+	}
+}
+
+// TestDeltaCancelStopsWithinOneMorsel: a context cancelled while pooled
+// Δ runs stops it at the next morsel boundary. Every morsel carries one
+// flip, so the log shows how many morsels decoded: exactly the three
+// that ran before the cancel.
+func TestDeltaCancelStopsWithinOneMorsel(t *testing.T) {
+	vals := make([]uint64, 100)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	h := harden(t, tinyColumn(t, "v", vals), code8)
+	for pos := 0; pos < len(vals); pos += 16 {
+		h.Corrupt(pos, 1<<1)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	par := &cancelAfterPar{morsel: 16, after: 2, cancel: cancel}
+	log := NewErrorLog()
+	out, err := DeltaOpts(h, &Opts{Par: par, Ctx: ctx, Log: log})
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("cancelled Δ returned %v, %v; want nil, context.Canceled", out, err)
+	}
+	got, err := log.Positions("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{0, 16, 32}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cancelled Δ logged %v, want %v (three morsels)", got, want)
+	}
+	if _, err := DeltaOpts(h, &Opts{Ctx: ctx, Log: NewErrorLog()}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("serial Δ on a cancelled context returned %v", err)
 	}
 }

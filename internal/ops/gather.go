@@ -114,17 +114,64 @@ func gatherAtRange(col *storage.Column, positions []uint32, o *Opts, log *ErrorL
 // any other operator; corrupted positions land in the log and decode to
 // whatever the corrupted word softens to (recovery is the DBMS's job).
 func Delta(col *storage.Column, log *ErrorLog) (*storage.Column, error) {
-	if col.Code() == nil {
-		return nil, fmt.Errorf("ops: Δ needs a hardened column, got %q", col.Name())
-	}
-	errs, err := col.CheckAll()
-	if err != nil {
+	return DeltaOpts(col, &Opts{Log: log})
+}
+
+// DeltaOpts is Delta under operator options: one fused check-and-decode
+// pass (storage.Column.DecodeRange) into a column allocated once at its
+// decoded width. With a runner attached it goes morsel-parallel: every
+// morsel decodes its own rows of the shared output and logs into a
+// private error log, and the logs merge in morsel order, so positions
+// and entry order equal the serial pass (runMorsels). The context is
+// checked per morsel. A residue-hardened column is verified against its
+// sidecar the same way and returned as is - its values are already
+// plain. Δ always detects, whatever o.Detect says.
+func DeltaOpts(col *storage.Column, o *Opts) (*storage.Column, error) {
+	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	if log != nil {
-		for _, pos := range errs {
-			log.Record(col.Name(), pos)
+	out := col
+	switch {
+	case col.Code() != nil:
+		var err error
+		if out, err = col.NewSoftened(); err != nil {
+			return nil, err
 		}
+	case !col.IsResidueHardened():
+		return nil, fmt.Errorf("ops: Δ needs a hardened column, got %q", col.Name())
 	}
-	return col.Soften()
+	n := col.Len()
+	if p := o.par(n); p != nil {
+		_, err := runMorsels(p, n, o, o.log(), nil, func(log *ErrorLog, start, end int) (struct{}, error) {
+			recordAll(log, col.Name(), deltaRange(col, out, start, end))
+			return struct{}{}, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	recordAll(o.log(), col.Name(), deltaRange(col, out, 0, n))
+	return out, nil
+}
+
+// deltaRange is the morsel kernel of DeltaOpts: it verifies rows
+// [start, end) of col, decodes them into out when col is AN-hardened,
+// and returns the corrupted positions.
+func deltaRange(col, out *storage.Column, start, end int) []uint64 {
+	if col.Code() == nil {
+		return col.ResidueCheckRange(start, end)
+	}
+	return col.DecodeRange(out, start, end, true)
+}
+
+// recordAll logs every corrupted position of one column; a nil log
+// drops them.
+func recordAll(log *ErrorLog, column string, positions []uint64) {
+	if log == nil {
+		return
+	}
+	for _, pos := range positions {
+		log.Record(column, pos)
+	}
 }

@@ -316,6 +316,19 @@ func (c *Column) Harden(code *an.Code) (*Column, error) {
 // Soften returns an unprotected copy of a hardened column, decoding every
 // value without corruption checks (the plain softening of Section 3).
 func (c *Column) Soften() (*Column, error) {
+	out, err := c.NewSoftened()
+	if err != nil {
+		return nil, err
+	}
+	c.DecodeRange(out, 0, c.Len(), false)
+	return out, nil
+}
+
+// NewSoftened allocates the unprotected column that Soften and the Δ
+// operator decode a hardened column into: same length, name, dictionary
+// and heap, at the decoded width, values still zero. DecodeRange fills
+// it; disjoint ranges may be filled concurrently.
+func (c *Column) NewSoftened() (*Column, error) {
 	if c.code == nil {
 		return nil, fmt.Errorf("storage: column %q is not hardened", c.name)
 	}
@@ -333,11 +346,62 @@ func (c *Column) Soften() (*Column, error) {
 	}
 	out := &Column{name: c.name, kind: kind, width: width, dict: c.dict, heap: c.heap}
 	n := c.Len()
-	out.grow(n)
-	for i := 0; i < n; i++ {
-		out.setU64(i, c.code.Decode(c.Get(i)))
+	switch width {
+	case 1:
+		out.u8 = make([]uint8, n)
+	case 2:
+		out.u16 = make([]uint16, n)
+	case 4:
+		out.u32 = make([]uint32, n)
+	default:
+		out.u64 = make([]uint64, n)
 	}
 	return out, nil
+}
+
+// DecodeRange decodes the code words at rows [start, end) of a hardened
+// column into the same rows of dst, a column from NewSoftened. With check
+// set it is the fused Δ kernel: every word is also verified, and the
+// global positions of corrupted words are returned in row order. Without
+// it the range is softened unchecked and nil is returned. The (code
+// width, decoded width) dispatch happens once per range.
+func (c *Column) DecodeRange(dst *Column, start, end int, check bool) []uint64 {
+	switch c.width {
+	case 1:
+		return decodeRange(c.code, c.u8[start:end], dst, start, check)
+	case 2:
+		return decodeRange(c.code, c.u16[start:end], dst, start, check)
+	case 4:
+		return decodeRange(c.code, c.u32[start:end], dst, start, check)
+	default:
+		return decodeRange(c.code, c.u64[start:end], dst, start, check)
+	}
+}
+
+func decodeRange[S an.Unsigned](code *an.Code, src []S, dst *Column, start int, check bool) []uint64 {
+	end := start + len(src)
+	switch dst.width {
+	case 1:
+		return decodeInto(code, src, dst.u8[start:end], start, check)
+	case 2:
+		return decodeInto(code, src, dst.u16[start:end], start, check)
+	case 4:
+		return decodeInto(code, src, dst.u32[start:end], start, check)
+	default:
+		return decodeInto(code, src, dst.u64[start:end], start, check)
+	}
+}
+
+func decodeInto[S, D an.Unsigned](code *an.Code, src []S, dst []D, start int, check bool) []uint64 {
+	if !check {
+		an.DecodeSlice(code, src, dst)
+		return nil
+	}
+	bad := an.CheckDecodeSlice(code, src, dst, nil)
+	for i := range bad {
+		bad[i] += uint64(start)
+	}
+	return bad
 }
 
 // CheckAll verifies every code word of a hardened column and returns the
@@ -444,14 +508,36 @@ func (c *Column) ResidueCheckAll() ([]uint64, error) {
 	if c.resCheck == nil {
 		return nil, fmt.Errorf("storage: column %q is not residue-hardened", c.name)
 	}
+	return c.ResidueCheckRange(0, c.Len()), nil
+}
+
+// ResidueCheckRange verifies rows [start, end) of a residue-hardened
+// column against their check words and returns the global positions that
+// mismatch, in row order - the range kernel behind ResidueCheckAll and
+// the Early Δ over residue columns.
+func (c *Column) ResidueCheckRange(start, end int) []uint64 {
+	checks := c.resCheck[start:end]
+	switch c.width {
+	case 1:
+		return residueCheck(c.resCode, c.u8[start:end], checks, start)
+	case 2:
+		return residueCheck(c.resCode, c.u16[start:end], checks, start)
+	case 4:
+		return residueCheck(c.resCode, c.u32[start:end], checks, start)
+	default:
+		return residueCheck(c.resCode, c.u64[start:end], checks, start)
+	}
+}
+
+func residueCheck[S an.Unsigned](rc *residue.Code, data []S, checks []uint16, start int) []uint64 {
 	var bad []uint64
-	n := c.Len()
-	for i := 0; i < n; i++ {
-		if c.resCode.Residue(c.Get(i)) != uint64(c.resCheck[i]) {
-			bad = append(bad, uint64(i))
+	checks = checks[:len(data)]
+	for i, v := range data {
+		if rc.Residue(uint64(v)) != uint64(checks[i]) {
+			bad = append(bad, uint64(start+i))
 		}
 	}
-	return bad, nil
+	return bad
 }
 
 // DropResidue returns an unprotected copy of a residue-hardened column
